@@ -26,8 +26,9 @@ use ftpde_obs::{Event, NoopRecorder, Recorder};
 use ftpde_store::value::Row;
 use ftpde_store::StoreBackend;
 
+use crate::batch::{Batch, Input};
 use crate::failure::FailureInjector;
-use crate::ops::{execute, merge_partials, ExecCtx, Interrupted};
+use crate::ops::{execute, merge_partials, merge_top_k, ExecCtx, Interrupted};
 use crate::plan::{EOpId, EnginePlan, OpKind};
 use crate::store::default_store;
 use crate::sync::clock;
@@ -675,9 +676,7 @@ pub fn run_query_resumable_traced(
                                 .expect("coordinator-side merge cannot be interrupted")
                         }
                         OpKind::TopK { sort_col, ascending, k } => {
-                            let all: Vec<Row> = partials.into_iter().flatten().collect();
-                            crate::ops::top_k(&all, *sort_col, *ascending, *k, &merge_ctx)
-                                .expect("coordinator-side merge cannot be interrupted")
+                            merge_top_k(&partials, *sort_col, *ascending, *k)
                         }
                         _ => unreachable!("is_gather covers exactly these kinds"),
                     },
@@ -851,9 +850,16 @@ fn failure_instant(at_us: u64, start_us: u64, root: EOpId, node: usize, attempt:
         .arg("lost_s", at_us.saturating_sub(start_us) as f64 / 1e6)
 }
 
-/// Executes the sub-plan `members` (rooted at `root`) on one node,
-/// checking the failure injector (and, under coarse recovery, the
-/// stage's shared [`InterruptFlag`]) at batch boundaries.
+/// Executes the sub-plan `members` (rooted at `root`) on one node, in
+/// flat batches; only the root's output is turned into rows.
+///
+/// The order of the checks is what keeps a seeded run deterministic. A
+/// planned kill is decided first, before any read — also when the
+/// node's partition holds no rows, so an empty-input attempt still fails
+/// as scheduled. Then every cross-stage input is read from the store.
+/// Only after that is the stage's shared cancel flag (coarse recovery)
+/// polled, at batch boundaries: whether a sibling's kill has landed yet
+/// is a race, and it must not decide which segments this worker reads.
 #[allow(clippy::too_many_arguments)]
 fn run_stage_on_node(
     plan: &EnginePlan,
@@ -866,48 +872,52 @@ fn run_stage_on_node(
     injector: &FailureInjector,
     cancel: Option<&InterruptFlag>,
 ) -> Result<Vec<Row>, WorkerError> {
-    let interrupted =
-        || injector.should_fail(root.0, node, attempt) || cancel.is_some_and(InterruptFlag::is_set);
-    // A planned kill takes the node down even when its partition holds no
-    // rows — without this check an empty-input attempt would never reach a
-    // batch boundary and the injection would silently not fire.
-    if interrupted() {
+    if injector.should_fail(root.0, node, attempt) {
         return Err(WorkerError::Interrupted);
     }
-    let ctx = ExecCtx { catalog, node, interrupted: &interrupted };
-    let mut memo: HashMap<EOpId, Vec<Row>> = HashMap::new();
-
+    // Materialized producers come from the fault-tolerant store, one `get`
+    // per input edge in plan order. The coordinator's input check ran
+    // `get` on every cross-stage input before deploying this worker — but
+    // a concurrent reader can demote the segment between that check and
+    // this read (corruption discovered on `get`), so a miss here is a
+    // recoverable lost-input, not a bug.
+    let mut stored: Vec<Vec<Option<Arc<Vec<Row>>>>> = Vec::with_capacity(members.len());
     for &m in members {
-        let op = plan.op(m);
-        // Resolve inputs: in-stage producers from the memo, materialized
-        // producers from the fault-tolerant store. The coordinator's
-        // input check ran `get` on every cross-stage input before
-        // deploying this worker — but a concurrent reader can demote the
-        // segment between that check and this read (corruption discovered
-        // on `get`), so a miss here is a recoverable lost-input, not a
-        // bug.
-        let mut stored: Vec<Option<Arc<Vec<Row>>>> = Vec::with_capacity(op.inputs.len());
-        for p in &op.inputs {
+        let mut op_inputs = Vec::with_capacity(plan.op(m).inputs.len());
+        for p in &plan.op(m).inputs {
             if members.contains(p) {
-                stored.push(None);
+                op_inputs.push(None);
             } else {
                 match store.get(p.0, node) {
-                    Some(arc) => stored.push(Some(arc)),
+                    Some(arc) => op_inputs.push(Some(arc)),
                     None => return Err(WorkerError::InputLost(p.0)),
                 }
             }
         }
-        let slices: Vec<&[Row]> = op
+        stored.push(op_inputs);
+    }
+    let interrupted = || cancel.is_some_and(InterruptFlag::is_set);
+    if interrupted() {
+        return Err(WorkerError::Interrupted);
+    }
+    let ctx = ExecCtx { catalog, node, interrupted: &interrupted };
+    let mut memo: HashMap<EOpId, Batch> = HashMap::new();
+    for (&m, op_stored) in members.iter().zip(&stored) {
+        let op = plan.op(m);
+        let inputs: Vec<Input<'_>> = op
             .inputs
             .iter()
-            .zip(&stored)
+            .zip(op_stored)
             .map(|(p, s)| match s {
-                Some(arc) => arc.as_slice(),
-                None => memo[p].as_slice(),
+                Some(arc) => Input::Rows(arc),
+                None => Input::Batch(&memo[p]),
             })
             .collect();
-        let out = execute(&op.kind, &slices, &ctx)?;
+        let out = execute(&op.kind, &inputs, &ctx)?;
         memo.insert(m, out);
     }
-    Ok(memo.remove(&root).expect("root is a member"))
+    let out = memo.remove(&root).expect("root is a member");
+    // Release the intermediates before the root's rows are allocated.
+    drop((memo, stored));
+    Ok(out.into_rows())
 }

@@ -3,7 +3,7 @@
 //! predicates and derived values (e.g. `sum/count` averages, discounted
 //! prices).
 
-use ftpde_store::value::{Row, Value};
+use ftpde_store::value::Value;
 
 /// A scalar expression evaluated against a row.
 #[derive(Debug, Clone, PartialEq)]
@@ -125,7 +125,7 @@ impl Expr {
     }
 
     /// Evaluates the expression against `row`.
-    pub fn eval(&self, row: &Row) -> Value {
+    pub fn eval(&self, row: &[Value]) -> Value {
         match self {
             Expr::Col(i) => row[*i],
             Expr::Lit(v) => *v,
@@ -160,7 +160,7 @@ impl Expr {
     }
 
     /// Evaluates the expression as a boolean (non-zero = true).
-    pub fn eval_bool(&self, row: &Row) -> bool {
+    pub fn eval_bool(&self, row: &[Value]) -> bool {
         match self.eval(row) {
             Value::Int(v) => v != 0,
             Value::Float(v) => v != 0.0,
@@ -171,7 +171,7 @@ impl Expr {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ftpde_store::value::int_row;
+    use ftpde_store::value::{int_row, Row};
 
     #[test]
     fn comparisons() {

@@ -28,6 +28,7 @@
 //! assert_eq!(report.results.len(), 1); // one sink: the per-flag aggregate
 //! ```
 
+pub mod batch;
 pub mod coordinator;
 pub mod expr;
 pub mod failure;
@@ -40,13 +41,14 @@ pub mod table;
 
 /// Convenient glob-import of the crate's main types.
 pub mod prelude {
+    pub use crate::batch::{Batch, Input};
     pub use crate::coordinator::{
         run_query, run_query_resumable, run_query_resumable_traced, run_query_traced,
         EngineRecovery, RunOptions, RunReport, StageTiming,
     };
     pub use crate::expr::{ArithOp, CmpOp, Expr};
     pub use crate::failure::{FailureInjector, Injection};
-    pub use crate::ops::{execute, merge_partials, ExecCtx, Interrupted};
+    pub use crate::ops::{execute, merge_partials, merge_top_k, ExecCtx, Interrupted};
     pub use crate::plan::{Agg, AggFunc, EOpId, EngineOp, EnginePlan, OpKind};
     pub use crate::queries::{
         load_catalog, q1_engine_plan, q1c_engine_plan, q2c_engine_plan, q3_engine_plan,

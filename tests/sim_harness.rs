@@ -39,6 +39,24 @@ fn the_sweep_of_the_first_eight_seeds_is_clean() {
 }
 
 #[test]
+fn coarse_restart_seeds_replay_identically_under_repetition() {
+    // Under coarse recovery a killed worker raises the stage's cancel
+    // flag. These seeds once let a sibling's store reads race that flag,
+    // so the replay's `store_stats` instant could read a different byte
+    // count than the faulted run (FT301, about one sweep in four).
+    for seed in [24u64, 30, 41, 48] {
+        for replay in 0..40 {
+            let outcome = run_seed(seed);
+            assert!(
+                outcome.report.diagnostics.iter().all(|d| d.code != Code::FT301),
+                "seed {seed}, replay {replay}:\n{}",
+                outcome.report.render()
+            );
+        }
+    }
+}
+
+#[test]
 fn cli_sim_json_artifact_is_byte_identical_and_parses() {
     let run = || {
         let out = ftpde(&["sim", "--seeds", "0..4", "--format", "json"]);
